@@ -64,25 +64,8 @@ void BM_ParseAndEvaluate(benchmark::State& state) {
 BENCHMARK(BM_ParseAndEvaluate);
 
 // (c) Full load: parse + type conversion into columnar form (what the
-// server pays for every loaded record), on the DOM oracle path.
-void BM_ParseAndConvert(benchmark::State& state) {
-  const auto& ds = Data();
-  for (auto _ : state) {
-    columnar::BatchBuilder builder(ds.schema,
-                                   columnar::BatchBuilder::ParsePath::kDom);
-    for (const std::string& r : ds.records) {
-      benchmark::DoNotOptimize(builder.AppendSerialized(r).ok());
-    }
-    benchmark::DoNotOptimize(builder.Finish());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(ds.records.size()));
-}
-BENCHMARK(BM_ParseAndConvert);
-
-// (d) Same full load on the default tape path: single-pass scan,
-// schema-driven extraction, no DOM — the loader's actual cost per
-// relevant record after this PR.
+// server pays for every loaded record) on the loader's tape path —
+// single-pass scan, schema-driven extraction, no DOM.
 void BM_TapeConvert(benchmark::State& state) {
   const auto& ds = Data();
   for (auto _ : state) {

@@ -15,8 +15,8 @@
 #include "columnar/encoding.h"
 #include "columnar/record_batch.h"
 #include "common/random.h"
-#include "engine/typed_eval.h"
 #include "engine/vectorized_eval.h"
+#include "oracles/typed_eval.h"
 #include "predicate/predicate.h"
 
 namespace {

@@ -2,12 +2,10 @@
 
 #include <map>
 
-#include "json/parser.h"
-
 namespace ciao::columnar {
 
-BatchBuilder::BatchBuilder(Schema schema, ParsePath path)
-    : schema_(schema), batch_(std::move(schema)), path_(path) {
+BatchBuilder::BatchBuilder(Schema schema)
+    : schema_(schema), batch_(std::move(schema)) {
   field_paths_.reserve(schema_.num_fields());
   for (size_t c = 0; c < schema_.num_fields(); ++c) {
     const std::string& name = schema_.field(c).name;
@@ -26,62 +24,7 @@ BatchBuilder::BatchBuilder(Schema schema, ParsePath path)
   }
 }
 
-void BatchBuilder::AppendParsed(const json::Value& record) {
-  for (size_t c = 0; c < schema_.num_fields(); ++c) {
-    const Field& field = schema_.field(c);
-    ColumnVector* col = batch_.mutable_column(c);
-    const json::Value* v = record.FindPath(field.name);
-    if (v == nullptr || v->is_null()) {
-      col->AppendNull();
-      continue;
-    }
-    switch (field.type) {
-      case ColumnType::kInt64:
-        if (v->is_int()) {
-          col->AppendInt64(v->as_int());
-        } else {
-          col->AppendNull();
-          ++coercion_errors_;
-        }
-        break;
-      case ColumnType::kDouble:
-        if (v->is_number()) {
-          col->AppendDouble(v->AsNumber());
-        } else {
-          col->AppendNull();
-          ++coercion_errors_;
-        }
-        break;
-      case ColumnType::kBool:
-        if (v->is_bool()) {
-          col->AppendBool(v->as_bool());
-        } else {
-          col->AppendNull();
-          ++coercion_errors_;
-        }
-        break;
-      case ColumnType::kString:
-        if (v->is_string()) {
-          col->AppendString(v->as_string());
-        } else {
-          col->AppendNull();
-          ++coercion_errors_;
-        }
-        break;
-    }
-  }
-}
-
 Status BatchBuilder::AppendSerialized(std::string_view serialized) {
-  if (path_ == ParsePath::kDom) {
-    Result<json::Value> parsed = json::Parse(serialized);
-    if (!parsed.ok()) {
-      ++parse_errors_;
-      return parsed.status();
-    }
-    AppendParsed(*parsed);
-    return Status::OK();
-  }
   Status st = tape_parser_.Parse(serialized, &tape_);
   if (!st.ok()) {
     ++parse_errors_;

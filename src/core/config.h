@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "engine/plan.h"
 #include "matcher/kernels.h"
 #include "matcher/multi_pattern.h"
 #include "optimizer/selection.h"
@@ -325,13 +324,6 @@ struct CiaoConfig {
   /// Worker threads for the executor's segment scan; 1 = sequential,
   /// 0 = one per hardware thread.
   size_t query_scan_threads = 1;
-
-  /// Row-verification strategy of the query executor. `vectorized`
-  /// (default) evaluates whole RecordBatches with typed SIMD/SWAR column
-  /// kernels feeding packed bitvectors; `rowwise` is the paper-faithful
-  /// tuple-at-a-time loop, kept as the differential oracle. Counts are
-  /// byte-identical under both.
-  QueryEvalMode query_eval = QueryEvalMode::kVectorized;
 
   /// Seed for sampling.
   uint64_t seed = 42;

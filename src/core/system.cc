@@ -23,7 +23,6 @@ CiaoSystem::CiaoSystem(columnar::Schema schema, Workload workload,
   catalog_ = std::make_unique<TableCatalog>(schema_);
   ExecutorOptions executor_options;
   executor_options.num_scan_threads = config_.query_scan_threads;
-  executor_options.query_eval = config_.query_eval;
   executor_options.raw_prefilter =
       config_.adaptive.enabled && config_.adaptive.jit_promotion;
   executor_ = std::make_unique<QueryExecutor>(catalog_.get(),

@@ -4,17 +4,13 @@
 #include <functional>
 #include <thread>
 
-#include <optional>
-
 #include "columnar/file_reader.h"
+#include "columnar/json_converter.h"
 #include "common/timer.h"
 #include "engine/projection.h"
-#include "engine/typed_eval.h"
 #include "engine/vectorized_eval.h"
 #include "engine/zone_map_filter.h"
-#include "json/parser.h"
 #include "predicate/pattern_compiler.h"
-#include "predicate/semantic_eval.h"
 #include "storage/jit_loader.h"
 #include "storage/segment_file.h"
 
@@ -22,13 +18,15 @@ namespace ciao {
 
 namespace {
 
-/// The query compiled for whichever evaluation mode the executor runs:
-/// exactly one of the two evaluators is populated. Counts are identical
-/// either way (pinned by tests/vectorized_eval_test.cc); `wanted` is the
-/// column-pruning mask both share.
+/// Rows per transient batch of the raw-sideline scan: bounds the scan's
+/// memory at one batch however large the sideline grows. Matches the
+/// ingest pipeline's default chunk granularity.
+constexpr size_t kRawScanBatchRows = 4096;
+
+/// The query compiled for verification: the vectorized predicate, the
+/// projection, and `wanted`, the column-pruning mask both share.
 struct GroupEvaluator {
-  std::optional<CompiledTypedQuery> rowwise;
-  std::optional<VectorizedQuery> vectorized;
+  VectorizedQuery predicate;
   std::vector<bool> wanted;
   /// The query's projected columns (may be empty). `wanted` is the union
   /// of the predicate's referenced columns and these, so one projected
@@ -36,21 +34,11 @@ struct GroupEvaluator {
   ProjectionSpec projection;
 
   static Result<GroupEvaluator> Make(const Query& query,
-                                     const columnar::Schema& schema,
-                                     QueryEvalMode mode) {
-    GroupEvaluator ev;
-    if (mode == QueryEvalMode::kVectorized) {
-      CIAO_ASSIGN_OR_RETURN(VectorizedQuery vq,
-                            VectorizedQuery::Compile(query, schema));
-      ev.wanted = vq.ReferencedColumns(schema.num_fields());
-      ev.vectorized.emplace(std::move(vq));
-    } else {
-      CIAO_ASSIGN_OR_RETURN(CompiledTypedQuery cq,
-                            CompiledTypedQuery::Compile(query, schema));
-      ev.wanted = cq.ReferencedColumns(schema.num_fields());
-      ev.rowwise.emplace(std::move(cq));
-    }
-    ev.projection = ProjectionSpec(query, schema);
+                                     const columnar::Schema& schema) {
+    CIAO_ASSIGN_OR_RETURN(VectorizedQuery predicate,
+                          VectorizedQuery::Compile(query, schema));
+    GroupEvaluator ev{std::move(predicate), {}, ProjectionSpec(query, schema)};
+    ev.wanted = ev.predicate.ReferencedColumns(schema.num_fields());
     ev.projection.AddWantedColumns(&ev.wanted);
     return ev;
   }
@@ -64,34 +52,16 @@ struct GroupEvaluator {
                                    uint64_t num_rows,
                                    const BitVector* selection,
                                    QueryResult* out) const {
-    if (vectorized.has_value()) {
-      CIAO_ASSIGN_OR_RETURN(
-          BitVector hits,
-          vectorized->Evaluate(batch, static_cast<size_t>(num_rows),
-                               selection));
-      if (!projection.empty()) {
-        projection.EnsureSize(&out->projected_hashes);
-        for (const uint32_t r : hits.SetBits()) {
-          projection.AccumulateRow(batch, r, &out->projected_hashes);
-        }
-      }
-      return static_cast<uint64_t>(hits.CountOnes());
-    }
-    if (!projection.empty()) projection.EnsureSize(&out->projected_hashes);
-    uint64_t matched = 0;
-    const auto visit = [&](size_t r) {
-      if (!rowwise->Matches(batch, r)) return;
-      ++matched;
-      if (!projection.empty()) {
+    CIAO_ASSIGN_OR_RETURN(
+        BitVector hits,
+        predicate.Evaluate(batch, static_cast<size_t>(num_rows), selection));
+    if (!projection.empty()) {
+      projection.EnsureSize(&out->projected_hashes);
+      for (const uint32_t r : hits.SetBits()) {
         projection.AccumulateRow(batch, r, &out->projected_hashes);
       }
-    };
-    if (selection != nullptr) {
-      for (const uint32_t r : selection->SetBits()) visit(r);
-    } else {
-      for (size_t r = 0; r < num_rows; ++r) visit(r);
     }
-    return matched;
+    return static_cast<uint64_t>(hits.CountOnes());
   }
 
   /// Folds every candidate row (selection, or all `num_rows` when null)
@@ -218,7 +188,7 @@ Result<QueryResult> QueryExecutor::ExecuteFullScan(const Query& query) const {
 
   CIAO_ASSIGN_OR_RETURN(
       GroupEvaluator eval,
-      GroupEvaluator::Make(query, catalog_->schema(), options_.query_eval));
+      GroupEvaluator::Make(query, catalog_->schema()));
   eval.projection.EnsureSize(&result.projected_hashes);
 
   const auto scan_one = [&](const ColumnarSegment& segment,
@@ -261,50 +231,43 @@ Result<QueryResult> QueryExecutor::ExecuteFullScan(const Query& query) const {
   // loaded, and without a pushed-down clause nothing proves they cannot
   // satisfy the query. With raw_prefilter the query's own clause patterns
   // rule records out *before* parsing (no false negatives, §IV-B); a
-  // clause that cannot run on raw bytes simply does not screen.
+  // clause that cannot run on raw bytes simply does not screen. Survivors
+  // go through the loader's tape path into bounded transient batches and
+  // the same evaluator as the segments, so a record counts and hashes
+  // exactly as it would once loaded.
   const std::shared_ptr<const RawStore>& raw = snapshot.raw;
   if (!raw->empty()) {
-    std::vector<RawClauseProgram> screen;
-    if (options_.raw_prefilter) {
-      for (const Clause& clause : query.clauses) {
-        if (!clause.SupportedOnClient()) continue;
-        Result<RawClauseProgram> program = RawClauseProgram::Compile(clause);
-        if (program.ok()) screen.push_back(std::move(program).value());
-      }
-    }
+    const RawQueryScreen screen =
+        options_.raw_prefilter ? RawQueryScreen(query) : RawQueryScreen();
+    columnar::BatchBuilder builder(catalog_->schema());
     JitStats jit;
     uint64_t screened_out = 0;
-    uint64_t matched = 0;
+    const auto flush = [&]() -> Status {
+      const size_t rows = builder.num_rows();
+      if (rows == 0) return Status::OK();
+      const columnar::RecordBatch batch = builder.Finish();
+      CIAO_ASSIGN_OR_RETURN(
+          const uint64_t matched,
+          eval.CountAndProject(batch, rows, nullptr, &result));
+      result.count += matched;
+      return Status::OK();
+    };
     for (size_t i = 0; i < raw->size(); ++i) {
       const std::string_view record = raw->Record(i);
-      bool maybe = true;
-      for (const RawClauseProgram& program : screen) {
-        if (!program.Matches(record)) {  // conjunction: one miss kills it
-          maybe = false;
-          break;
-        }
-      }
-      if (!maybe) {
+      if (!screen.MayMatch(record)) {
         ++screened_out;
         continue;
       }
-      Result<json::Value> parsed = json::Parse(record);
-      if (!parsed.ok()) {
+      if (!builder.AppendSerialized(record).ok()) {
         ++jit.parse_errors;
         continue;
       }
       ++jit.records_parsed;
-      if (EvaluateQuery(query, *parsed)) {
-        ++matched;
-        // Sideline records hash through the converter's coercion rules,
-        // so a record contributes the same checksum whether it was loaded
-        // into columns or scanned raw.
-        if (!eval.projection.empty()) {
-          eval.projection.AccumulateParsed(*parsed, &result.projected_hashes);
-        }
+      if (builder.num_rows() == kRawScanBatchRows) {
+        CIAO_RETURN_IF_ERROR(flush());
       }
     }
-    result.count += matched;
+    CIAO_RETURN_IF_ERROR(flush());
     result.stats.raw_records_screened_out = screened_out;
     result.stats.raw_records_scanned = jit.records_parsed;
     result.stats.raw_parse_errors = jit.parse_errors;
@@ -327,7 +290,7 @@ Result<QueryResult> QueryExecutor::ExecuteWithSkipping(
 
   CIAO_ASSIGN_OR_RETURN(
       GroupEvaluator eval,
-      GroupEvaluator::Make(query, catalog_->schema(), options_.query_eval));
+      GroupEvaluator::Make(query, catalog_->schema()));
   eval.projection.EnsureSize(&result.projected_hashes);
 
   // The exact-bits counting path needs no predicate column at all — with

@@ -29,12 +29,6 @@ struct ExecutorOptions {
   /// rules out are counted as non-matching without a JSON parse. Off by
   /// default — the legacy pipeline parses every sideline record.
   bool raw_prefilter = false;
-
-  /// How rows are verified against the typed predicate: batch-at-a-time
-  /// typed kernels (default; engine/vectorized_eval.h) or the row-wise
-  /// CompiledTypedQuery loop kept as the differential oracle. Counts are
-  /// identical either way; only the cycles differ.
-  QueryEvalMode query_eval = QueryEvalMode::kVectorized;
 };
 
 /// The plan generation a query executes against: the registry that

@@ -12,14 +12,4 @@ std::string_view PlanKindName(PlanKind kind) {
   return "unknown";
 }
 
-std::string_view QueryEvalModeName(QueryEvalMode mode) {
-  switch (mode) {
-    case QueryEvalMode::kRowwise:
-      return "rowwise";
-    case QueryEvalMode::kVectorized:
-      return "vectorized";
-  }
-  return "unknown";
-}
-
 }  // namespace ciao

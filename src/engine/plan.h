@@ -18,19 +18,6 @@ enum class PlanKind {
 
 std::string_view PlanKindName(PlanKind kind);
 
-/// How the executor verifies rows against the typed predicate.
-enum class QueryEvalMode {
-  /// CompiledTypedQuery::Matches, one row at a time — the paper-faithful
-  /// path, kept as the differential oracle for the vectorized kernels.
-  kRowwise,
-  /// Batch-at-a-time typed column kernels producing packed BitVectors,
-  /// combined word-at-a-time per the clause tree, with a selection-vector
-  /// fallback for late expensive clauses (see engine/vectorized_eval.h).
-  kVectorized,
-};
-
-std::string_view QueryEvalModeName(QueryEvalMode mode);
-
 /// Counters accumulated while executing one query.
 struct ScanStats {
   /// Row groups the scan looked at (header read), whether or not they

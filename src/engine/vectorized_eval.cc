@@ -126,9 +126,10 @@ Result<VectorizedQuery> VectorizedQuery::Compile(
         term.string_operand = operand.as_string();
       }
 
-      // Kernel selection mirrors CompiledTypedQuery::TermMatches case by
-      // case; any combination that row-wise evaluation rejects outright
-      // becomes kNever (constant false).
+      // Kernel selection mirrors the row-wise typed oracle's term match
+      // (tests/oracles/typed_eval.cc) case by case; any combination that
+      // row-wise evaluation rejects outright becomes kNever (constant
+      // false).
       term.kernel = Kernel::kNever;
       switch (p.kind) {
         case PredicateKind::kKeyPresence:
@@ -386,6 +387,30 @@ Result<BitVector> VectorizedQuery::Evaluate(const columnar::RecordBatch& batch,
     CIAO_ASSIGN_OR_RETURN(any, alive.AndWithAny(hits));
   }
   return alive;
+}
+
+Result<RegistryEvaluator> RegistryEvaluator::Compile(
+    const PredicateRegistry& registry, const columnar::Schema& schema) {
+  RegistryEvaluator evaluator;
+  evaluator.clauses_.reserve(registry.size());
+  for (const RegisteredPredicate& p : registry.predicates()) {
+    Query probe;
+    probe.clauses = {p.clause};
+    CIAO_ASSIGN_OR_RETURN(VectorizedQuery q,
+                          VectorizedQuery::Compile(probe, schema));
+    evaluator.clauses_.push_back(std::move(q));
+  }
+  return evaluator;
+}
+
+Result<BitVectorSet> RegistryEvaluator::Evaluate(
+    const columnar::RecordBatch& batch, size_t num_rows) const {
+  BitVectorSet bits(clauses_.size(), num_rows);
+  for (size_t p = 0; p < clauses_.size(); ++p) {
+    CIAO_ASSIGN_OR_RETURN(*bits.mutable_vector(p),
+                          clauses_[p].Evaluate(batch, num_rows));
+  }
+  return bits;
 }
 
 }  // namespace ciao

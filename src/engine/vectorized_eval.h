@@ -6,9 +6,11 @@
 #include <vector>
 
 #include "bitvec/bitvector.h"
+#include "bitvec/bitvector_set.h"
 #include "columnar/record_batch.h"
 #include "common/status.h"
 #include "predicate/predicate.h"
+#include "predicate/registry.h"
 
 namespace ciao {
 
@@ -21,15 +23,16 @@ namespace ciao {
 /// vector over the rows still alive after every cheap clause, using the
 /// SWAR substring kernel (matcher/kernels.h) per surviving row.
 ///
-/// Semantics are bit-identical to CompiledTypedQuery::Matches on every
-/// row — including NULL handling (a NULL matches nothing but presence),
-/// NaN (compares false), cross-type int/double operands, and type
-/// mismatches (constant-false terms). The differential fuzz suite
-/// (tests/vectorized_eval_test.cc) pins the equivalence.
+/// Semantics are bit-identical to the row-wise typed oracle
+/// (tests/oracles/typed_eval.h) on every row — including NULL handling
+/// (a NULL matches nothing but presence), NaN (compares false),
+/// cross-type int/double operands, and type mismatches (constant-false
+/// terms). The differential fuzz suite (tests/vectorized_eval_test.cc)
+/// pins the equivalence.
 class VectorizedQuery {
  public:
   /// Fails with InvalidArgument if a predicate references a field missing
-  /// from the schema (same contract as CompiledTypedQuery::Compile).
+  /// from the schema (the planner treats that as a planning error).
   static Result<VectorizedQuery> Compile(const Query& query,
                                          const columnar::Schema& schema);
 
@@ -44,7 +47,9 @@ class VectorizedQuery {
                              size_t num_rows,
                              const BitVector* selection = nullptr) const;
 
-  /// Column-pruning mask, same contract as CompiledTypedQuery.
+  /// Column-pruning mask: wanted[i] is true iff schema field i is
+  /// referenced by any predicate. The executor decodes only these
+  /// columns (COUNT(*) needs nothing else).
   std::vector<bool> ReferencedColumns(size_t num_fields) const;
 
   size_t num_clauses() const { return clauses_.size(); }
@@ -92,6 +97,26 @@ class VectorizedQuery {
   /// shrink the selection before any expensive kernel runs).
   std::vector<size_t> order_;
   std::vector<CompiledClause> clauses_;
+};
+
+/// Every clause of a predicate registry compiled as its own one-clause
+/// VectorizedQuery, in predicate-id order. Backfill and re-layout write
+/// its output as *exact* annotation bits: typed evaluation on loaded
+/// rows, free of the client prefilter's false positives.
+class RegistryEvaluator {
+ public:
+  static Result<RegistryEvaluator> Compile(const PredicateRegistry& registry,
+                                           const columnar::Schema& schema);
+
+  /// One bitvector per registered predicate over rows [0, num_rows) of
+  /// `batch` (every referenced column decoded).
+  Result<BitVectorSet> Evaluate(const columnar::RecordBatch& batch,
+                                size_t num_rows) const;
+
+  size_t size() const { return clauses_.size(); }
+
+ private:
+  std::vector<VectorizedQuery> clauses_;
 };
 
 }  // namespace ciao

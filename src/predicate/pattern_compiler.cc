@@ -149,6 +149,22 @@ bool RawClauseProgram::Matches(std::string_view record) const {
   return false;
 }
 
+RawQueryScreen::RawQueryScreen(const Query& query) {
+  clauses_.reserve(query.clauses.size());
+  for (const Clause& clause : query.clauses) {
+    if (!clause.SupportedOnClient()) continue;
+    Result<RawClauseProgram> program = RawClauseProgram::Compile(clause);
+    if (program.ok()) clauses_.push_back(std::move(program).value());
+  }
+}
+
+bool RawQueryScreen::MayMatch(std::string_view record) const {
+  for (const RawClauseProgram& clause : clauses_) {
+    if (!clause.Matches(record)) return false;  // conjunction: one miss
+  }
+  return true;
+}
+
 std::vector<std::string> RawClauseProgram::PatternStrings() const {
   std::vector<std::string> out;
   for (const RawPredicateProgram& term : terms_) {

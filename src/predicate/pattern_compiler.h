@@ -71,6 +71,22 @@ class RawClauseProgram {
   std::vector<RawPredicateProgram> terms_;
 };
 
+/// A query's conjunction screened on raw bytes: one RawClauseProgram per
+/// clause that can run on raw records (the rest do not screen). No false
+/// negatives, so a record the screen rules out provably does not satisfy
+/// the query and never needs parsing. An empty screen passes everything.
+class RawQueryScreen {
+ public:
+  RawQueryScreen() = default;
+  explicit RawQueryScreen(const Query& query);
+
+  /// False iff some clause's patterns all miss `record`.
+  bool MayMatch(std::string_view record) const;
+
+ private:
+  std::vector<RawClauseProgram> clauses_;
+};
+
 }  // namespace ciao
 
 #endif  // CIAO_PREDICATE_PATTERN_COMPILER_H_

@@ -9,27 +9,12 @@
 #include "columnar/file_writer.h"
 #include "columnar/json_converter.h"
 #include "common/timer.h"
-#include "engine/typed_eval.h"
+#include "engine/vectorized_eval.h"
 #include "json/chunk.h"
 
 namespace ciao {
 
 namespace {
-
-/// One registered clause compiled for exact row evaluation.
-Result<std::vector<CompiledTypedQuery>> CompileRegistryClauses(
-    const PredicateRegistry& registry, const columnar::Schema& schema) {
-  std::vector<CompiledTypedQuery> compiled;
-  compiled.reserve(registry.size());
-  for (const RegisteredPredicate& p : registry.predicates()) {
-    Query probe;
-    probe.clauses = {p.clause};
-    CIAO_ASSIGN_OR_RETURN(CompiledTypedQuery q,
-                          CompiledTypedQuery::Compile(probe, schema));
-    compiled.push_back(std::move(q));
-  }
-  return compiled;
-}
 
 /// Copies row `r` of `src` onto the end of each column of `dst`.
 void AppendRow(columnar::RecordBatch* dst, const columnar::RecordBatch& src,
@@ -126,7 +111,7 @@ class GroupAccumulator {
 /// progressively fragmenting the layout.
 Result<std::string> RebuildSegment(const ColumnarSegment& segment,
                                    const columnar::Schema& schema,
-                                   const std::vector<CompiledTypedQuery>& preds,
+                                   const RegistryEvaluator& preds,
                                    BackfillStats* stats) {
   CIAO_ASSIGN_OR_RETURN(const PinnedSegment pin, PinSegment(segment));
   CIAO_ASSIGN_OR_RETURN(columnar::TableReader reader,
@@ -137,17 +122,9 @@ Result<std::string> RebuildSegment(const ColumnarSegment& segment,
   for (size_t g = 0; g < reader.num_row_groups(); ++g) {
     CIAO_ASSIGN_OR_RETURN(columnar::RowGroupMeta meta, reader.ReadMeta(g));
     CIAO_ASSIGN_OR_RETURN(columnar::RecordBatch batch, reader.ReadBatch(g));
-    BitVectorSet annotations(preds.size(), meta.num_rows);
-    BitVector any_match(meta.num_rows);
-    for (size_t p = 0; p < preds.size(); ++p) {
-      BitVector* bits = annotations.mutable_vector(p);
-      for (size_t r = 0; r < meta.num_rows; ++r) {
-        if (preds[p].Matches(batch, r)) {
-          bits->Set(r, true);
-          any_match.Set(r, true);
-        }
-      }
-    }
+    CIAO_ASSIGN_OR_RETURN(const BitVectorSet annotations,
+                          preds.Evaluate(batch, meta.num_rows));
+    const BitVector any_match = annotations.UnionAll();
     for (size_t r = 0; r < meta.num_rows; ++r) {
       GroupAccumulator& target = any_match.Get(r) ? hot : cold;
       target.Add(batch, r, annotations);
@@ -231,8 +208,9 @@ Status BackfillEpochAnnotations(TableCatalog* catalog,
     return Status::OK();
   }
 
-  CIAO_ASSIGN_OR_RETURN(std::vector<CompiledTypedQuery> preds,
-                        CompileRegistryClauses(registry, catalog->schema()));
+  CIAO_ASSIGN_OR_RETURN(
+      const RegistryEvaluator preds,
+      RegistryEvaluator::Compile(registry, catalog->schema()));
 
   // Promote first: the promoted segment is born in the new id space, so
   // the segment sweep below has nothing to rewrite for it.
@@ -248,8 +226,8 @@ Status BackfillEpochAnnotations(TableCatalog* catalog,
     replacement.file_bytes = std::move(rebuilt);
     replacement.num_rows = segment->num_rows;
     replacement.annotation_epoch = annotation_epoch;
-    // RebuildSegment evaluated the typed predicates row by row, so the
-    // rewritten bits are exact, not a client-prefilter superset.
+    // RebuildSegment evaluated the typed predicates on the loaded rows,
+    // so the rewritten bits are exact, not a client-prefilter superset.
     replacement.annotations_exact = true;
     if (catalog->ReplaceSegment(segment, std::move(replacement))) {
       ++stats->segments_rebuilt;

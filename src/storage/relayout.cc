@@ -7,7 +7,7 @@
 #include "columnar/clustered_writer.h"
 #include "columnar/file_reader.h"
 #include "common/timer.h"
-#include "engine/typed_eval.h"
+#include "engine/vectorized_eval.h"
 
 namespace ciao {
 
@@ -35,26 +35,6 @@ struct RowSlot {
   bool has_key = false;
   double key = 0.0;
 };
-
-/// Every registered clause compiled for exact row evaluation (the same
-/// recompute backfill performs). Ingest segments carry client-prefilter
-/// bits — a superset with false positives — so the rewrite re-annotates
-/// from typed evaluation: the output bits are exact, false-positive rows
-/// sink into the all-zero cold tail, and fully-covered COUNT queries can
-/// be answered from the bits alone.
-Result<std::vector<CompiledTypedQuery>> CompileRegistryClauses(
-    const PredicateRegistry& registry, const columnar::Schema& schema) {
-  std::vector<CompiledTypedQuery> compiled;
-  compiled.reserve(registry.size());
-  for (const RegisteredPredicate& p : registry.predicates()) {
-    Query probe;
-    probe.clauses = {p.clause};
-    CIAO_ASSIGN_OR_RETURN(CompiledTypedQuery q,
-                          CompiledTypedQuery::Compile(probe, schema));
-    compiled.push_back(std::move(q));
-  }
-  return compiled;
-}
 
 /// The first numeric schema column a hot predicate constrains with a
 /// zone-map-prunable kind — the column worth sorting equal-signature rows
@@ -135,8 +115,13 @@ Status RelayoutSegments(TableCatalog* catalog,
   if (inputs.empty()) return Status::OK();
 
   const columnar::Schema& catalog_schema = catalog->schema();
-  CIAO_ASSIGN_OR_RETURN(const std::vector<CompiledTypedQuery> preds,
-                        CompileRegistryClauses(registry, catalog_schema));
+  // Ingest segments carry client-prefilter bits — a superset with false
+  // positives — so the rewrite re-annotates from typed evaluation (the
+  // same recompute backfill performs): the output bits are exact,
+  // false-positive rows sink into the all-zero cold tail, and
+  // fully-covered COUNT queries can be answered from the bits alone.
+  CIAO_ASSIGN_OR_RETURN(const RegistryEvaluator preds,
+                        RegistryEvaluator::Compile(registry, catalog_schema));
 
   // Decode every participating group once and re-annotate it with exact
   // typed evaluation; rows are then permuted across group and segment
@@ -161,13 +146,8 @@ Status RelayoutSegments(TableCatalog* catalog,
             "registry");
       }
       CIAO_ASSIGN_OR_RETURN(columnar::RecordBatch batch, reader.ReadBatch(g));
-      BitVectorSet exact(preds.size(), meta.num_rows);
-      for (size_t p = 0; p < preds.size(); ++p) {
-        BitVector* bits = exact.mutable_vector(p);
-        for (size_t r = 0; r < meta.num_rows; ++r) {
-          if (preds[p].Matches(batch, r)) bits->Set(r, true);
-        }
-      }
+      CIAO_ASSIGN_OR_RETURN(BitVectorSet exact,
+                            preds.Evaluate(batch, meta.num_rows));
       groups.emplace_back(std::move(batch), std::move(exact));
       total_rows += meta.num_rows;
     }
@@ -180,7 +160,7 @@ Status RelayoutSegments(TableCatalog* catalog,
   slots.reserve(total_rows);
   for (size_t g = 0; g < groups.size(); ++g) {
     const SourceGroup& group = groups[g];
-    const size_t rows = group.bits.num_records();
+    const size_t rows = group.batch.num_rows();
     for (size_t r = 0; r < rows; ++r) {
       RowSlot slot;
       slot.group = static_cast<uint32_t>(g);

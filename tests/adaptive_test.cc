@@ -22,8 +22,8 @@
 #include "core/plan_epoch.h"
 #include "core/replan.h"
 #include "core/system.h"
-#include "engine/typed_eval.h"
 #include "json/parser.h"
+#include "oracles/typed_eval.h"
 #include "predicate/semantic_eval.h"
 #include "storage/backfill.h"
 #include "workload/dataset.h"
@@ -551,10 +551,17 @@ TEST(AdaptiveDriftTest, ConcurrentQueriesDuringRelayoutStayConsistent) {
   std::atomic<int> wrong_counts{0};
   std::atomic<int> failures{0};
   std::atomic<bool> done{false};
+  // Query threads start only once the relayout thread is running, and
+  // the first relayout always runs: otherwise fast queries can all finish
+  // before the relayout thread is scheduled, and nothing overlaps.
+  std::atomic<bool> relayout_started{false};
   std::vector<std::thread> threads;
   threads.reserve(kThreads + 1);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      while (!relayout_started.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
       for (int i = 0; i < kItersPerThread; ++i) {
         const size_t qi = (static_cast<size_t>(t) + i) % wl.queries.size();
         auto result = (*system)->ExecuteQuery(wl.queries[qi]);
@@ -569,7 +576,9 @@ TEST(AdaptiveDriftTest, ConcurrentQueriesDuringRelayoutStayConsistent) {
     });
   }
   threads.emplace_back([&] {
-    for (int i = 0; i < kRelayouts && !done.load(std::memory_order_relaxed);
+    relayout_started.store(true, std::memory_order_release);
+    for (int i = 0;
+         i < kRelayouts && (i == 0 || !done.load(std::memory_order_relaxed));
          ++i) {
       auto relaid = controller->ForceRelayout();
       if (!relaid.ok()) failures.fetch_add(1, std::memory_order_relaxed);

@@ -8,8 +8,8 @@
 //    cold columns pool, and max_groups is always respected,
 //  * counts AND per-column projection checksums are identical across
 //    legacy / single-group / per-column / randomly-partitioned layouts,
-//    across full-scan vs skipping vs stale-epoch plans, and across
-//    row-wise vs vectorized evaluation,
+//    across full-scan vs skipping vs stale-epoch plans, and equal to the
+//    row-wise scan oracle (oracles/scan_oracle.h),
 //  * a forced regroup publishes a grouped physical layout, keeps every
 //    result exact, and charges the spent-time side of the regret ledger.
 
@@ -31,12 +31,14 @@
 #include "core/replan.h"
 #include "core/system.h"
 #include "engine/executor.h"
-#include "engine/typed_eval.h"
 #include "json/parser.h"
 #include "json/writer.h"
+#include "oracles/scan_oracle.h"
+#include "oracles/typed_eval.h"
 #include "predicate/registry.h"
 #include "predicate/semantic_eval.h"
 #include "storage/column_grouping.h"
+#include "storage/relayout.h"
 #include "workload/dataset.h"
 #include "workload/templates.h"
 
@@ -366,41 +368,39 @@ TEST(GroupedDifferentialTest, AllLayoutsAndPlansAgreeOnCountsAndHashes) {
       bool have_reference = false;
 
       for (size_t c = 0; c < fx.catalogs.size(); ++c) {
-        for (const QueryEvalMode mode :
-             {QueryEvalMode::kVectorized, QueryEvalMode::kRowwise}) {
-          ExecutorOptions opt;
-          opt.query_eval = mode;
-          QueryExecutor executor(fx.catalogs[c].get(), &fx.registry, opt);
-          const std::string label =
-              q.ToSql() + " layout=" + fx.names[c] +
-              " mode=" + std::string(QueryEvalModeName(mode));
+        QueryExecutor executor(fx.catalogs[c].get(), &fx.registry);
+        const std::string label = q.ToSql() + " layout=" + fx.names[c];
+        auto oracle = OracleScan(*fx.catalogs[c], q);
+        ASSERT_TRUE(oracle.ok()) << label;
+        EXPECT_EQ(oracle->count, expected) << label;
 
-          auto full = executor.ExecuteFullScan(q);
-          ASSERT_TRUE(full.ok()) << label;
-          EXPECT_EQ(full->count, expected) << label;
-          auto skip = executor.Execute(q);
-          ASSERT_TRUE(skip.ok()) << label;
-          EXPECT_EQ(skip->plan, PlanKind::kSkippingScan) << label;
-          EXPECT_EQ(skip->count, expected) << label;
-          // Stale-epoch view: annotations are epoch 0, the query plans
-          // against epoch 7 — bits must be distrusted, results exact.
-          auto stale = executor.ExecuteWithSkipping(
-              q, pushed_ids, /*epoch_id=*/7);
-          ASSERT_TRUE(stale.ok()) << label;
-          EXPECT_EQ(stale->count, expected) << label;
-          EXPECT_GT(stale->stats.groups_stale_annotations, 0u) << label;
+        auto full = executor.ExecuteFullScan(q);
+        ASSERT_TRUE(full.ok()) << label;
+        EXPECT_EQ(full->count, expected) << label;
+        auto skip = executor.Execute(q);
+        ASSERT_TRUE(skip.ok()) << label;
+        EXPECT_EQ(skip->plan, PlanKind::kSkippingScan) << label;
+        EXPECT_EQ(skip->count, expected) << label;
+        // Stale-epoch view: annotations are epoch 0, the query plans
+        // against epoch 7 — bits must be distrusted, results exact.
+        auto stale = executor.ExecuteWithSkipping(
+            q, pushed_ids, /*epoch_id=*/7);
+        ASSERT_TRUE(stale.ok()) << label;
+        EXPECT_EQ(stale->count, expected) << label;
+        EXPECT_GT(stale->stats.groups_stale_annotations, 0u) << label;
 
-          ASSERT_EQ(full->projected_hashes.size(), q.projected.size());
-          ASSERT_EQ(skip->projected_hashes.size(), q.projected.size());
-          if (!have_reference) {
-            reference_hashes = full->projected_hashes;
-            have_reference = true;
-          }
-          // The projection checksums are layout/plan/eval-mode invariant.
-          EXPECT_EQ(full->projected_hashes, reference_hashes) << label;
-          EXPECT_EQ(skip->projected_hashes, reference_hashes) << label;
-          EXPECT_EQ(stale->projected_hashes, reference_hashes) << label;
+        ASSERT_EQ(full->projected_hashes.size(), q.projected.size());
+        ASSERT_EQ(skip->projected_hashes.size(), q.projected.size());
+        if (!have_reference) {
+          reference_hashes = oracle->projected_hashes;
+          have_reference = true;
         }
+        // The projection checksums are layout/plan invariant and equal
+        // the row-wise oracle's.
+        EXPECT_EQ(oracle->projected_hashes, reference_hashes) << label;
+        EXPECT_EQ(full->projected_hashes, reference_hashes) << label;
+        EXPECT_EQ(skip->projected_hashes, reference_hashes) << label;
+        EXPECT_EQ(stale->projected_hashes, reference_hashes) << label;
       }
     }
   }
@@ -575,6 +575,48 @@ CiaoConfig GroupedAdaptiveConfig() {
   return config;
 }
 
+TEST(GroupedDifferentialTest, VerticalOnlyRewriteWithEmptyRegistryKeepsRows) {
+  // A plan may push nothing and still mine a column grouping. The rewrite
+  // then has no annotation bits to carry, and must still move every row.
+  const workload::Dataset ds = workload::GenerateWinLog({300, 5});
+  TableCatalog catalog(ds.schema);
+  columnar::BatchBuilder builder(ds.schema);
+  for (const std::string& r : ds.records) {
+    ASSERT_TRUE(builder.AppendSerialized(r).ok());
+  }
+  const columnar::RecordBatch batch = builder.Finish();
+  columnar::TableWriter writer(ds.schema);
+  ASSERT_TRUE(writer.AppendRowGroup(batch, BitVectorSet()).ok());
+  catalog.AddSegment(std::move(writer).Finish(), batch.num_rows());
+
+  PredicateRegistry registry;
+  QueryExecutor executor(&catalog, &registry);
+  Query q;
+  q.clauses = {Clause::Of(SimplePredicate::Presence("level"))};
+  q.projected = {"time", "level"};
+  auto before = executor.Execute(q);
+  ASSERT_TRUE(before.ok());
+  ASSERT_EQ(before->count, ds.records.size());
+
+  const ColumnGroupLayout layout =
+      ColumnGroupLayout::PerColumn(ds.schema.num_fields());
+  RelayoutStats stats;
+  bool relaid = false;
+  ASSERT_TRUE(RelayoutSegments(&catalog, registry, /*hot=*/{},
+                               /*annotation_epoch=*/0, RelayoutOptions{},
+                               &layout, &stats, &relaid)
+                  .ok());
+  EXPECT_TRUE(relaid);
+  EXPECT_EQ(stats.rows_moved, ds.records.size());
+  auto after = executor.Execute(q);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->count, before->count);
+  EXPECT_EQ(after->projected_hashes, before->projected_hashes);
+  auto oracle = OracleScan(catalog, q);
+  ASSERT_TRUE(oracle.ok());
+  EXPECT_EQ(oracle->count, before->count);
+}
+
 TEST(ColumnGroupingE2ETest, ForcedRegroupPublishesGroupedLayoutKeepsExact) {
   const workload::Dataset ds = workload::GenerateWinLog({600, 91});
   const auto pool = workload::MicroTierPredicates(0.15);
@@ -699,9 +741,16 @@ TEST(ColumnGroupingE2ETest, ConcurrentQueriesDuringRegroupStayConsistent) {
   std::atomic<int> mismatches{0};
   std::atomic<int> failures{0};
   std::atomic<bool> done{false};
+  // Query threads start only once the regroup thread is running, and the
+  // first regroup always runs: otherwise fast queries can all finish
+  // before the regroup thread is scheduled, and nothing overlaps.
+  std::atomic<bool> regroup_started{false};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      while (!regroup_started.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
       for (int i = 0; i < kItersPerThread; ++i) {
         const size_t qi = (static_cast<size_t>(t) + i) % wl.queries.size();
         auto result = (*system)->ExecuteQuery(wl.queries[qi]);
@@ -717,7 +766,9 @@ TEST(ColumnGroupingE2ETest, ConcurrentQueriesDuringRegroupStayConsistent) {
     });
   }
   threads.emplace_back([&] {
-    for (int i = 0; i < kRegroups && !done.load(std::memory_order_relaxed);
+    regroup_started.store(true, std::memory_order_release);
+    for (int i = 0;
+         i < kRegroups && (i == 0 || !done.load(std::memory_order_relaxed));
          ++i) {
       auto relaid = controller->ForceRelayout();
       if (!relaid.ok()) failures.fetch_add(1, std::memory_order_relaxed);

@@ -6,10 +6,11 @@
 #include "common/random.h"
 #include "engine/executor.h"
 #include "engine/planner.h"
-#include "engine/typed_eval.h"
 #include "engine/zone_map_filter.h"
-#include "columnar/json_converter.h"
 #include "json/parser.h"
+#include "oracles/dom_batch.h"
+#include "oracles/scan_oracle.h"
+#include "oracles/typed_eval.h"
 #include "predicate/semantic_eval.h"
 #include "storage/partial_loader.h"
 #include "workload/dataset.h"
@@ -33,7 +34,7 @@ TEST(TypedEvalTest, AgreesWithSemanticEvalOnGeneratedData) {
     const workload::Dataset ds = workload::GenerateDataset(kind, opt);
 
     // Load everything into one batch.
-    columnar::BatchBuilder builder(ds.schema);
+    DomBatchBuilder builder(ds.schema);
     std::vector<json::Value> parsed;
     for (const std::string& r : ds.records) {
       auto v = json::Parse(r);
@@ -411,8 +412,8 @@ TEST(ZoneMapFilterTest, ComputeZoneMapsWithholdsRangeFromNanColumns) {
 
 TEST(ExecutorTest, NanAndNullColumnsAgreeWithOracleUnderZoneMaps) {
   // End-to-end pin of the NaN/null semantics: a table whose double
-  // column holds NaN, nulls, and ordinary values must produce identical
-  // counts with zone maps on and off, under both evaluation modes.
+  // column holds NaN, nulls, and ordinary values must produce the
+  // row-wise oracle's counts with zone maps on and off.
   columnar::Schema schema({{"id", columnar::ColumnType::kInt64},
                            {"score", columnar::ColumnType::kDouble}});
   PredicateRegistry registry;
@@ -442,22 +443,21 @@ TEST(ExecutorTest, NanAndNullColumnsAgreeWithOracleUnderZoneMaps) {
   queries[0].clauses = {Clause::Of(SimplePredicate::KeyValue("score", 6))};
   queries[1].clauses = {Clause::Of(SimplePredicate::RangeLess("score", 10))};
   queries[2].clauses = {Clause::Of(SimplePredicate::Presence("score"))};
-  for (const QueryEvalMode mode :
-       {QueryEvalMode::kVectorized, QueryEvalMode::kRowwise}) {
-    ExecutorOptions with_zm;
-    with_zm.use_zone_maps = true;
-    with_zm.query_eval = mode;
-    ExecutorOptions without_zm = with_zm;
-    without_zm.use_zone_maps = false;
-    QueryExecutor exec_zm(&catalog, &registry, with_zm);
-    QueryExecutor exec_plain(&catalog, &registry, without_zm);
-    for (const Query& q : queries) {
-      auto a = exec_zm.Execute(q);
-      auto b = exec_plain.Execute(q);
-      ASSERT_TRUE(a.ok());
-      ASSERT_TRUE(b.ok());
-      EXPECT_EQ(a->count, b->count) << q.ToSql();
-    }
+  ExecutorOptions with_zm;
+  with_zm.use_zone_maps = true;
+  ExecutorOptions without_zm = with_zm;
+  without_zm.use_zone_maps = false;
+  QueryExecutor exec_zm(&catalog, &registry, with_zm);
+  QueryExecutor exec_plain(&catalog, &registry, without_zm);
+  for (const Query& q : queries) {
+    auto oracle = OracleScan(catalog, q);
+    auto a = exec_zm.Execute(q);
+    auto b = exec_plain.Execute(q);
+    ASSERT_TRUE(oracle.ok());
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_EQ(a->count, oracle->count) << q.ToSql();
+    EXPECT_EQ(b->count, oracle->count) << q.ToSql();
   }
 }
 

@@ -8,9 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "client/client_filter.h"
 #include "common/random.h"
+#include "core/system.h"
+#include "costmodel/cost_model.h"
 #include "engine/executor.h"
 #include "json/chunk.h"
 #include "json/parser.h"
@@ -217,14 +223,10 @@ TEST(ClientFilterTest, BitvectorsMatchProgramEvaluation) {
 }
 
 // Promotion must preserve the no-false-negative property end-to-end:
-// after the raw sideline is promoted to columnar — with the legacy
-// all-zero annotations OR the re-evaluating overload — every skipping
-// scan still returns exactly the brute-force count. The legacy all-zero
-// bits are sound because a record reaches the sideline only when it
-// matches NO pushed predicate (client filter has no false negatives), so
-// "no bits set" is exact, not pessimistic — see jit_loader.h. The
-// re-evaluating overload must additionally reproduce bits with no false
-// negatives so skipping scans keep skipping.
+// after the raw sideline is promoted to columnar, the promoted rows'
+// annotations (the registry re-evaluated on the raw bytes) carry no
+// false negatives, so every skipping scan still returns exactly the
+// brute-force count.
 TEST(PromotionSoundnessTest, NoFalseNegativesAfterPromotion) {
   const workload::Dataset ds = workload::GenerateWinLog({400, 91});
   const auto pool = workload::MicroTierPredicates(0.15);
@@ -246,54 +248,156 @@ TEST(PromotionSoundnessTest, NoFalseNegativesAfterPromotion) {
     }
   }
 
-  for (const bool reevaluate : {false, true}) {
-    TableCatalog catalog(ds.schema);
-    PartialLoader loader(ds.schema, registry.size());
-    ClientFilter filter(&registry);
-    LoadStats load_stats;
-    PrefilterStats prefilter_stats;
-    for (size_t start = 0; start < ds.records.size(); start += 64) {
-      const size_t end = std::min(start + 64, ds.records.size());
-      json::JsonChunk chunk;
-      for (size_t i = start; i < end; ++i) {
-        chunk.AppendSerialized(ds.records[i]);
-      }
-      const BitVectorSet bits = filter.Evaluate(chunk, &prefilter_stats);
-      ASSERT_TRUE(loader
-                      .IngestChunk(chunk, bits, /*partial_loading_enabled=*/
-                                   true, &catalog, &load_stats)
-                      .ok());
+  TableCatalog catalog(ds.schema);
+  PartialLoader loader(ds.schema, registry.size());
+  ClientFilter filter(&registry);
+  LoadStats load_stats;
+  PrefilterStats prefilter_stats;
+  for (size_t start = 0; start < ds.records.size(); start += 64) {
+    const size_t end = std::min(start + 64, ds.records.size());
+    json::JsonChunk chunk;
+    for (size_t i = start; i < end; ++i) {
+      chunk.AppendSerialized(ds.records[i]);
     }
-    ASSERT_GT(catalog.raw_rows(), 0u) << "test needs a non-empty sideline";
-
-    JitStats jit;
-    if (reevaluate) {
-      ASSERT_TRUE(
-          PromoteRawToColumnar(&catalog, registry, /*annotation_epoch=*/0,
-                               &jit)
-              .ok());
-    } else {
-      ASSERT_TRUE(PromoteRawToColumnar(&catalog, registry.size(), &jit).ok());
-    }
-    EXPECT_EQ(catalog.raw_rows(), 0u);
-    EXPECT_EQ(catalog.loaded_rows(), ds.records.size());
-
-    QueryExecutor executor(&catalog, &registry);
-    for (size_t p = 0; p < registry.size(); ++p) {
-      Query q;
-      q.clauses = {registry.Get(static_cast<uint32_t>(p)).clause};
-      auto skipping = executor.Execute(q);
-      ASSERT_TRUE(skipping.ok());
-      EXPECT_EQ(skipping->plan, PlanKind::kSkippingScan);
-      EXPECT_EQ(skipping->count, expected[p])
-          << "FALSE NEGATIVE after promotion (reevaluate=" << reevaluate
-          << "): " << q.ToSql();
-      // The forced full scan agrees — promotion lost no rows.
-      auto full = executor.ExecuteFullScan(q);
-      ASSERT_TRUE(full.ok());
-      EXPECT_EQ(full->count, expected[p]);
-    }
+    const BitVectorSet bits = filter.Evaluate(chunk, &prefilter_stats);
+    ASSERT_TRUE(loader
+                    .IngestChunk(chunk, bits, /*partial_loading_enabled=*/
+                                 true, &catalog, &load_stats)
+                    .ok());
   }
+  ASSERT_GT(catalog.raw_rows(), 0u) << "test needs a non-empty sideline";
+
+  JitStats jit;
+  ASSERT_TRUE(
+      PromoteRawToColumnar(&catalog, registry, /*annotation_epoch=*/0, &jit)
+          .ok());
+  EXPECT_EQ(catalog.raw_rows(), 0u);
+  EXPECT_EQ(catalog.loaded_rows(), ds.records.size());
+
+  QueryExecutor executor(&catalog, &registry);
+  for (size_t p = 0; p < registry.size(); ++p) {
+    Query q;
+    q.clauses = {registry.Get(static_cast<uint32_t>(p)).clause};
+    auto skipping = executor.Execute(q);
+    ASSERT_TRUE(skipping.ok());
+    EXPECT_EQ(skipping->plan, PlanKind::kSkippingScan);
+    EXPECT_EQ(skipping->count, expected[p])
+        << "FALSE NEGATIVE after promotion: " << q.ToSql();
+    // The forced full scan agrees — promotion lost no rows.
+    auto full = executor.ExecuteFullScan(q);
+    ASSERT_TRUE(full.ok());
+    EXPECT_EQ(full->count, expected[p]);
+  }
+}
+
+// A record whose schema fields carry the wrong JSON type (a double or a
+// string where the schema says int64, a number where it says string, a
+// string or number where it says bool) loads those fields as NULL. A
+// full scan must count and hash such records the same whether they sit
+// on the raw sideline or were loaded — by promotion, by the storage
+// compactor, or by loading everything up front — so moving a record
+// between the two never changes an answer.
+TEST(RawSidelineSemanticsTest, MistypedRecordsAnswerAlikeRawOrLoaded) {
+  const columnar::Schema schema({{"x", columnar::ColumnType::kInt64},
+                                 {"flag", columnar::ColumnType::kBool},
+                                 {"name", columnar::ColumnType::kString}});
+  const std::vector<std::string> records = {
+      R"({"x":5.0,"flag":"true","name":"a"})",
+      R"({"x":"7","flag":true,"name":7})",
+      R"({"x":3,"flag":false,"name":"b"})",
+      R"({"x":9007199254740993,"flag":1,"name":"c"})",
+      R"({"x":true,"flag":"false","name":false})",
+  };
+  const std::vector<std::string> all = {"x", "flag", "name"};
+  std::vector<Query> queries;
+  for (const Clause& clause :
+       {Clause::Of(SimplePredicate::Presence("x")),
+        Clause::Of(SimplePredicate::Presence("flag")),
+        Clause::Of(SimplePredicate::Presence("name")),
+        Clause::Of(SimplePredicate::KeyValue("x", 5)),
+        Clause::Of(SimplePredicate::KeyValue("flag", true)),
+        Clause::Of(SimplePredicate::RangeLess("x", 10))}) {
+    Query q;
+    q.clauses = {clause};
+    q.projected = all;
+    queries.push_back(std::move(q));
+  }
+  using Answers = std::vector<std::pair<uint64_t, std::vector<uint64_t>>>;
+  const auto answer = [&](const auto& run) {
+    Answers out;
+    for (const Query& q : queries) {
+      Result<QueryResult> r = run(q);
+      EXPECT_TRUE(r.ok()) << q.ToSql() << ": " << r.status().ToString();
+      if (!r.ok()) return Answers{};
+      out.emplace_back(r->count, r->projected_hashes);
+    }
+    return out;
+  };
+
+  // Loaded up front: budget 0 pushes nothing, so every record loads.
+  CiaoConfig config;
+  config.budget_us = 0.0;
+  Workload workload;
+  workload.queries = queries;
+  auto eager = CiaoSystem::Bootstrap(schema, workload, records, config,
+                                     CostModel::Default());
+  ASSERT_TRUE(eager.ok()) << eager.status().ToString();
+  ASSERT_TRUE((*eager)->IngestRecords(records).ok());
+  ASSERT_EQ((*eager)->catalog().raw_rows(), 0u);
+  const Answers loaded =
+      answer([&](const Query& q) { return (*eager)->ExecuteQuery(q); });
+  ASSERT_EQ(loaded.size(), queries.size());
+  EXPECT_EQ(loaded[0].first, 2u);  // x loads only from 3 and 2^53+1
+
+  // On the raw sideline, then promoted.
+  PredicateRegistry registry;
+  TableCatalog catalog(schema);
+  for (const std::string& r : records) catalog.mutable_raw()->Append(r);
+  QueryExecutor executor(&catalog, &registry);
+  const auto full_scan = [&](const Query& q) {
+    return executor.ExecuteFullScan(q);
+  };
+  EXPECT_EQ(answer(full_scan), loaded) << "sideline";
+  ExecutorOptions screened_opt;
+  screened_opt.raw_prefilter = true;
+  QueryExecutor screened(&catalog, &registry, screened_opt);
+  EXPECT_EQ(answer([&](const Query& q) { return screened.ExecuteFullScan(q); }),
+            loaded)
+      << "screened sideline";
+  JitStats jit;
+  ASSERT_TRUE(PromoteRawToColumnar(&catalog, registry, 0, &jit).ok());
+  ASSERT_EQ(catalog.raw_rows(), 0u);
+  EXPECT_EQ(answer(full_scan), loaded) << "promoted";
+
+  // Sidelined by partial loading (the pushed clause matches no record),
+  // then merged by the storage compactor.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "ciao_mistyped_compact")
+          .string();
+  std::filesystem::remove_all(dir);
+  CiaoConfig durable;
+  durable.storage.enabled = true;
+  durable.storage.dir = dir;
+  Workload pushed_workload;
+  const Clause never = Clause::Of(SimplePredicate::Exact("name", "zzz"));
+  pushed_workload.queries.resize(1);
+  pushed_workload.queries[0].clauses = {never};
+  {
+    auto system = CiaoSystem::BootstrapManual(
+        schema, pushed_workload, {never}, records, durable,
+        CostModel::Default());
+    ASSERT_TRUE(system.ok()) << system.status().ToString();
+    ASSERT_TRUE((*system)->IngestRecords(records).ok());
+    ASSERT_EQ((*system)->catalog().raw_rows(), records.size());
+    const auto run = [&](const Query& q) {
+      return (*system)->ExecuteQuery(q);
+    };
+    EXPECT_EQ(answer(run), loaded) << "system sideline";
+    ASSERT_TRUE((*system)->CompactAndCheckpoint().ok());
+    ASSERT_EQ((*system)->catalog().raw_rows(), 0u);
+    EXPECT_EQ(answer(run), loaded) << "compacted";
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ClientFilterTest, SubsetFilterEvaluatesOnlyAssignedIds) {

@@ -1,4 +1,4 @@
-#include "engine/typed_eval.h"
+#include "oracles/typed_eval.h"
 
 #include "common/string_util.h"
 

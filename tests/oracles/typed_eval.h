@@ -1,5 +1,5 @@
-#ifndef CIAO_ENGINE_TYPED_EVAL_H_
-#define CIAO_ENGINE_TYPED_EVAL_H_
+#ifndef CIAO_TESTS_ORACLES_TYPED_EVAL_H_
+#define CIAO_TESTS_ORACLES_TYPED_EVAL_H_
 
 #include <vector>
 
@@ -12,9 +12,10 @@ namespace ciao {
 /// A query compiled against a schema for row-at-a-time evaluation over
 /// RecordBatches: field names resolved to column indexes, operands
 /// pre-extracted. Semantics mirror semantic_eval.h exactly (tests assert
-/// typed-vs-semantic agreement on schema-conformant data); this is what
-/// "evaluate all predicates in this query to verify that a tuple is
-/// actually valid" (§IV-B) runs on loaded data.
+/// typed-vs-semantic agreement on schema-conformant data). This is the
+/// paper-faithful tuple-at-a-time reading of "evaluate all predicates in
+/// this query to verify that a tuple is actually valid" (§IV-B), kept as
+/// the test-only differential oracle for the executor's VectorizedQuery.
 class CompiledTypedQuery {
  public:
   /// Fails with InvalidArgument if a predicate references a field missing
@@ -59,4 +60,4 @@ class CompiledTypedQuery {
 
 }  // namespace ciao
 
-#endif  // CIAO_ENGINE_TYPED_EVAL_H_
+#endif  // CIAO_TESTS_ORACLES_TYPED_EVAL_H_

@@ -503,25 +503,6 @@ TEST(PartialLoaderTest, IngestMessageCompletesMissingPredicates) {
 
 // ---------- JIT loader ----------
 
-TEST(JitLoaderTest, ForEachRawRecordParsesAndCounts) {
-  RawStore store;
-  store.Append(R"({"a":1,"s":"x"})");
-  store.Append("{bad json");
-  store.Append(R"({"a":2,"s":"y"})");
-
-  JitStats stats;
-  int64_t sum = 0;
-  ASSERT_TRUE(ForEachRawRecord(
-                  store,
-                  [&](const json::Value& v) { sum += v.Find("a")->as_int(); },
-                  &stats)
-                  .ok());
-  EXPECT_EQ(stats.records_parsed, 2u);
-  EXPECT_EQ(stats.parse_errors, 1u);
-  EXPECT_EQ(sum, 3);
-  EXPECT_GT(stats.seconds, 0.0);
-}
-
 TEST(JitLoaderTest, PromoteRawToColumnar) {
   LoaderFixture fx;
   PartialLoader loader(fx.schema, 1);
@@ -531,26 +512,45 @@ TEST(JitLoaderTest, PromoteRawToColumnar) {
                   .IngestChunk(fx.Chunk(6), annotations, true, &fx.catalog,
                                &fx.stats)
                   .ok());
-  ASSERT_EQ(fx.catalog.raw_rows(), 5u);
+  fx.catalog.mutable_raw()->Append("{bad json");
+  ASSERT_EQ(fx.catalog.raw_rows(), 6u);
   const uint64_t loaded_before = fx.catalog.loaded_rows();
 
+  PredicateRegistry registry;
+  ASSERT_TRUE(
+      registry.Register(Clause::Of(SimplePredicate::Exact("s", "v1")), 0.3, 1.0)
+          .ok());
   JitStats jit;
-  ASSERT_TRUE(PromoteRawToColumnar(&fx.catalog, 1, &jit).ok());
-  EXPECT_EQ(fx.catalog.raw_rows(), 0u);
+  ASSERT_TRUE(
+      PromoteRawToColumnar(&fx.catalog, registry, /*annotation_epoch=*/0, &jit)
+          .ok());
+  // The unparseable record stays raw; the other five are promoted.
+  EXPECT_EQ(fx.catalog.raw_rows(), 1u);
   EXPECT_EQ(fx.catalog.loaded_rows(), loaded_before + 5);
   EXPECT_EQ(jit.records_parsed, 5u);
+  EXPECT_EQ(jit.parse_errors, 1u);
 
-  // Promoted rows carry all-zero annotations (skipping stays sound).
+  // Promoted rows (a = 1..5) carry the registry's bits: s == "v1" holds
+  // for a = 1 and a = 4, promoted rows 0 and 3.
   const size_t last = fx.catalog.num_segments() - 1;
   auto reader =
       columnar::TableReader::OpenBorrowed(fx.catalog.segment(last).file_bytes);
+  ASSERT_TRUE(reader.ok());
   auto meta = reader->ReadMeta(0);
   ASSERT_TRUE(meta.ok());
-  EXPECT_EQ(meta->annotations.num_predicates(), 1u);
-  EXPECT_FALSE(meta->annotations.vector(0).Any());
+  EXPECT_EQ(meta->num_rows, 5u);
+  ASSERT_EQ(meta->annotations.num_predicates(), 1u);
+  EXPECT_EQ(meta->annotations.vector(0).CountOnes(), 2u);
+  EXPECT_TRUE(meta->annotations.vector(0).Get(0));
+  EXPECT_TRUE(meta->annotations.vector(0).Get(3));
 
-  // Promoting an empty raw store is a no-op.
-  ASSERT_TRUE(PromoteRawToColumnar(&fx.catalog, 1, &jit).ok());
+  // Promoting again publishes nothing: the unparseable record stays.
+  const size_t segments = fx.catalog.num_segments();
+  ASSERT_TRUE(
+      PromoteRawToColumnar(&fx.catalog, registry, /*annotation_epoch=*/0, &jit)
+          .ok());
+  EXPECT_EQ(fx.catalog.num_segments(), segments);
+  EXPECT_EQ(fx.catalog.raw_rows(), 1u);
 }
 
 // ---------- Catalog ----------

@@ -1,8 +1,9 @@
 // Differential suite: the tape parser's accept/reject behavior and every
-// extracted field must agree with the json::Parse DOM oracle — over the
-// workload corpora, escape/unicode/number torture cases, malformed-input
-// families, and byte-mutation fuzzing. The tape path is the loader's
-// default, so this suite is what licenses it.
+// extracted field must agree with the json::Parse DOM oracle (and the
+// test-only DOM converter, oracles/dom_batch.h) — over the workload
+// corpora, escape/unicode/number torture cases, malformed-input families,
+// and byte-mutation fuzzing. The tape path is the loader's only path, so
+// this suite is what licenses it.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include "json/parser.h"
 #include "json/tape_parser.h"
 #include "json/writer.h"
+#include "oracles/dom_batch.h"
 #include "workload/dataset.h"
 
 namespace ciao {
@@ -35,13 +37,13 @@ bool AgreeOnAccept(const std::string& input) {
   return oracle_ok;
 }
 
-/// Runs both BatchBuilder paths over `records` under `schema` and expects
-/// identical batches and error counters (byte-for-byte on every extracted
-/// field, via ColumnVector::Equals).
+/// Runs the loader's BatchBuilder and the DOM oracle over `records` under
+/// `schema` and expects identical batches and error counters
+/// (byte-for-byte on every extracted field, via ColumnVector::Equals).
 void ExpectIdenticalBatches(const columnar::Schema& schema,
                             const std::vector<std::string>& records) {
-  BatchBuilder tape_builder(schema, BatchBuilder::ParsePath::kTape);
-  BatchBuilder dom_builder(schema, BatchBuilder::ParsePath::kDom);
+  BatchBuilder tape_builder(schema);
+  DomBatchBuilder dom_builder(schema);
   for (const std::string& r : records) {
     const Status tape_st = tape_builder.AppendSerialized(r);
     const Status dom_st = dom_builder.AppendSerialized(r);

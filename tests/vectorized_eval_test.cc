@@ -5,9 +5,10 @@
 //    dictionary and plain string columns, batch sizes 0/1/word-boundary±1
 //    — every VectorizedQuery bit equals the row-wise CompiledTypedQuery
 //    oracle, with and without a selection vector,
-//  * the executor produces identical counts AND identical scan stats
-//    under query_eval=rowwise and =vectorized on full-scan, skipping, and
-//    stale-epoch paths,
+//  * the executor's counts AND projection checksums equal the test-only
+//    scan oracle (oracles/scan_oracle.h: full decode, DOM-converted
+//    sideline, row-wise typed evaluation) on full-scan, screened
+//    full-scan, skipping, and stale-epoch paths,
 //  * vectorized queries running concurrently with sideline promotions
 //    stay exact (run under TSan in CI).
 
@@ -25,9 +26,10 @@
 #include "common/random.h"
 #include "engine/executor.h"
 #include "engine/planner.h"
-#include "engine/typed_eval.h"
 #include "engine/vectorized_eval.h"
 #include "json/parser.h"
+#include "oracles/scan_oracle.h"
+#include "oracles/typed_eval.h"
 #include "predicate/semantic_eval.h"
 #include "storage/jit_loader.h"
 #include "storage/partial_loader.h"
@@ -282,7 +284,7 @@ TEST(VectorizedEvalTest, CompileAndEvaluateErrors) {
       vq->Evaluate(batch, 10, &wrong_size).status().IsInvalidArgument());
 }
 
-// ---------- Executor parity: rowwise vs vectorized ----------
+// ---------- Executor vs the scan oracle ----------
 
 struct ExecutorFixture {
   workload::Dataset ds;
@@ -334,27 +336,30 @@ struct ExecutorFixture {
   }
 };
 
-void ExpectSameStats(const ScanStats& a, const ScanStats& b) {
-  EXPECT_EQ(a.rows_evaluated, b.rows_evaluated);
-  EXPECT_EQ(a.rows_skipped, b.rows_skipped);
-  EXPECT_EQ(a.groups_skipped, b.groups_skipped);
-  EXPECT_EQ(a.groups_skipped_zonemap, b.groups_skipped_zonemap);
-  EXPECT_EQ(a.groups_scanned, b.groups_scanned);
-  EXPECT_EQ(a.groups_stale_annotations, b.groups_stale_annotations);
+/// Expects `result` to carry the oracle's count and projection checksums.
+void ExpectMatchesScanOracle(const TableCatalog& catalog, const Query& q,
+                             const Result<QueryResult>& result,
+                             const std::string& label) {
+  ASSERT_TRUE(result.ok()) << label << ": " << result.status().ToString();
+  auto oracle = OracleScan(catalog, q);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  EXPECT_EQ(result->count, oracle->count) << label << " " << q.ToSql();
+  EXPECT_EQ(result->projected_hashes, oracle->projected_hashes)
+      << label << " " << q.ToSql();
 }
 
-TEST(VectorizedExecutorTest, BothModesAgreeOnAllPlanShapes) {
+TEST(VectorizedExecutorTest, AllPlanShapesMatchOracle) {
   ExecutorFixture fx(500, /*partial=*/true);
-  ExecutorOptions rowwise_opt;
-  rowwise_opt.query_eval = QueryEvalMode::kRowwise;
-  ExecutorOptions vector_opt;
-  vector_opt.query_eval = QueryEvalMode::kVectorized;
-  QueryExecutor rowwise(&fx.catalog, &fx.registry, rowwise_opt);
-  QueryExecutor vectorized(&fx.catalog, &fx.registry, vector_opt);
+  ASSERT_GT(fx.catalog.raw_rows(), 0u) << "full scans must cover the sideline";
+  QueryExecutor executor(&fx.catalog, &fx.registry);
+  ExecutorOptions screened_opt;
+  screened_opt.raw_prefilter = true;
+  QueryExecutor screened(&fx.catalog, &fx.registry, screened_opt);
 
   const auto pool =
       workload::TemplatesFor(workload::DatasetKind::kWinLog).AllCandidates();
   const auto other = workload::MicroTierPredicates(0.15);
+  const std::vector<std::string> cols = {"time", "level", "source", "info"};
   Rng rng(4242);
 
   std::vector<Query> queries;
@@ -372,44 +377,42 @@ TEST(VectorizedExecutorTest, BothModesAgreeOnAllPlanShapes) {
     q2.clauses = {fx.pushed[0], fx.pushed[1]};
     queries.push_back(q2);
   }
+  for (Query& q : queries) {
+    for (const std::string& c : cols) {
+      if (rng.NextBool(0.4)) q.projected.push_back(c);
+    }
+  }
 
   for (const Query& q : queries) {
-    auto r = rowwise.Execute(q);
-    auto v = vectorized.Execute(q);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    ASSERT_TRUE(v.ok()) << v.status().ToString();
-    EXPECT_EQ(v->count, r->count) << q.ToSql();
-    EXPECT_EQ(v->count, fx.BruteForceCount(q)) << q.ToSql();
-    EXPECT_EQ(v->plan, r->plan);
-    ExpectSameStats(v->stats, r->stats);
-
-    auto rf = rowwise.ExecuteFullScan(q);
-    auto vf = vectorized.ExecuteFullScan(q);
-    ASSERT_TRUE(rf.ok() && vf.ok());
-    EXPECT_EQ(vf->count, rf->count) << q.ToSql();
-    ExpectSameStats(vf->stats, rf->stats);
+    auto planned = executor.Execute(q);
+    ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+    ExpectMatchesScanOracle(fx.catalog, q, planned, "planned");
+    EXPECT_EQ(planned->count, fx.BruteForceCount(q)) << q.ToSql();
+    ExpectMatchesScanOracle(fx.catalog, q, executor.ExecuteFullScan(q),
+                            "full scan");
+    ExpectMatchesScanOracle(fx.catalog, q, screened.ExecuteFullScan(q),
+                            "screened full scan");
   }
 }
 
-TEST(VectorizedExecutorTest, StaleEpochVerifyPathAgrees) {
+TEST(VectorizedExecutorTest, StaleEpochVerifyPathMatchesOracle) {
   // Annotations are written under epoch 0; querying epoch 1 forces the
   // full typed verify of every group — the stale-segment path must use
   // the vectorized evaluator too and still be exact.
   ExecutorFixture fx(400, /*partial=*/false);
-  ExecutorOptions rowwise_opt;
-  rowwise_opt.query_eval = QueryEvalMode::kRowwise;
-  QueryExecutor rowwise(&fx.catalog, &fx.registry, rowwise_opt);
-  QueryExecutor vectorized(&fx.catalog, &fx.registry);  // default vectorized
+  QueryExecutor executor(&fx.catalog, &fx.registry);
 
   Query q;
   q.clauses = {fx.pushed[0]};
-  auto r = rowwise.ExecuteWithSkipping(q, {0}, /*epoch_id=*/1);
-  auto v = vectorized.ExecuteWithSkipping(q, {0}, /*epoch_id=*/1);
-  ASSERT_TRUE(r.ok() && v.ok());
-  EXPECT_GT(v->stats.groups_stale_annotations, 0u);
-  EXPECT_EQ(v->count, r->count);
-  EXPECT_EQ(v->count, fx.BruteForceCount(q));
-  ExpectSameStats(v->stats, r->stats);
+  q.projected = {"level", "source"};
+  auto stale = executor.ExecuteWithSkipping(q, {0}, /*epoch_id=*/1);
+  ASSERT_TRUE(stale.ok()) << stale.status().ToString();
+  ExpectMatchesScanOracle(fx.catalog, q, stale, "stale epoch");
+  EXPECT_GT(stale->stats.groups_stale_annotations, 0u);
+  EXPECT_EQ(stale->count, fx.BruteForceCount(q));
+  ExpectMatchesScanOracle(fx.catalog, q,
+                          executor.ExecuteWithSkipping(q, {0}, 0),
+                          "fresh epoch");
 }
 
 // ---------- Concurrency: vectorized queries vs promotions (TSan) ----------
